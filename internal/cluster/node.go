@@ -389,19 +389,8 @@ func (nd *Node) handleExpand(w http.ResponseWriter, r *http.Request) {
 		if enabled == 0 {
 			re.flags[i] |= flagDead
 		}
-		// Same predicate as verify.CheckSafety: ALL bad places marked
-		// simultaneously.
-		if len(j.bad) > 0 {
-			allMarked := true
-			for _, p := range j.bad {
-				if !m.Has(p) {
-					allMarked = false
-					break
-				}
-			}
-			if allMarked {
-				re.flags[i] |= flagBad
-			}
+		if len(j.bad) > 0 && m.HasAll(j.bad) {
+			re.flags[i] |= flagBad
 		}
 	}
 
@@ -417,11 +406,15 @@ func (nd *Node) handleExpand(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	cw := &countingWriter{w: w}
-	if err := encodeExpandReply(cw, re); err != nil {
-		return // client gone; nothing to salvage
+	buf, err := encodeBuf(func(w io.Writer) error { return encodeExpandReply(w, re) })
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "cluster: expand reply: %v", err)
+		return
 	}
-	j.tk.FrameSend(pid, cw.n)
+	// Stamp the send before the reply leaves: once it is written the
+	// coordinator may receive it before this goroutine runs again.
+	j.tk.FrameSend(pid, int64(buf.Len()))
+	_, _ = w.Write(buf.Bytes()) // client gone; nothing to salvage
 }
 
 // seqHeader reads the wire-edge pair id the coordinator stamped on the
@@ -465,8 +458,8 @@ func (nd *Node) handleIntern(w http.ResponseWriter, r *http.Request) {
 	for _, e := range entries {
 		j.internLocal(e.key, e.order)
 	}
-	_ = WriteFrame(w, frameAck, nil)
 	j.internSend(pid, ackFrameBytes)
+	_ = WriteFrame(w, frameAck, nil)
 }
 
 // handleCollect returns the owned pending discoveries of the current
@@ -488,9 +481,13 @@ func (nd *Node) handleCollect(w http.ResponseWriter, r *http.Request) {
 	}
 	j.mu.Unlock()
 	sort.Slice(out, func(a, b int) bool { return out[a].order < out[b].order })
-	cw := &countingWriter{w: w}
-	_ = encodeKeyOrders(cw, frameCollect, out)
-	j.tk.FrameSend(pid, cw.n)
+	buf, err := encodeBuf(func(w io.Writer) error { return encodeKeyOrders(w, frameCollect, out) })
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "cluster: collect reply: %v", err)
+		return
+	}
+	j.tk.FrameSend(pid, int64(buf.Len()))
+	_, _ = w.Write(buf.Bytes())
 }
 
 // handleCommit installs the coordinator's id assignments and clears the
@@ -517,8 +514,8 @@ func (nd *Node) handleCommit(w http.ResponseWriter, r *http.Request) {
 	}
 	clear(j.pend)
 	j.mu.Unlock()
-	_ = WriteFrame(w, frameAck, nil)
 	j.tk.FrameSend(pid, ackFrameBytes)
+	_ = WriteFrame(w, frameAck, nil)
 }
 
 // countingReader tallies bytes for the frontier byte metrics.

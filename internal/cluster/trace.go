@@ -151,16 +151,3 @@ func (nd *Node) LocalTrace(run string) *trace.Dump {
 func (nd *Node) Peers() []string {
 	return append([]string(nil), nd.peers...)
 }
-
-// countingWriter tallies bytes written, for frame_send byte counts on
-// streamed replies.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}

@@ -19,6 +19,17 @@ func (n *Net) InitialMarking() Marking { return n.initMark.Clone() }
 // Has reports whether place p is marked.
 func (m Marking) Has(p Place) bool { return m[p/64]&(1<<uint(p%64)) != 0 }
 
+// HasAll reports whether every place of ps is marked (true for an empty
+// ps).
+func (m Marking) HasAll(ps []Place) bool {
+	for _, p := range ps {
+		if !m.Has(p) {
+			return false
+		}
+	}
+	return true
+}
+
 // Set marks place p.
 func (m Marking) Set(p Place) { m[p/64] |= 1 << uint(p%64) }
 

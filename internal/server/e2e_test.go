@@ -276,6 +276,24 @@ trans ac : a -> c
 	if safe.Net != "toy" || safe.Check != server.CheckSafety {
 		t.Fatalf("response metadata: %+v", safe)
 	}
+	// A monitoring engine names its witness in the input net's places,
+	// and a duplicated bad place is the same set, hence the same run.
+	var runID string
+	for _, bad := range [][]string{{"b"}, {"b", "b"}} {
+		mon, err := c.Verify(ctx, &server.Request{
+			Net: pn, Engine: "gpo", Check: server.CheckSafety, Bad: bad,
+		})
+		if err != nil {
+			t.Fatalf("gpo safety check bad=%v: %v", bad, err)
+		}
+		if !mon.Deadlock || len(mon.Witness) != 1 || mon.Witness[0] != "b" {
+			t.Fatalf("bad=%v: want reachable with witness [b], got %+v", bad, mon)
+		}
+		if runID != "" && mon.RunID != runID {
+			t.Fatalf("bad=%v: run ID %s, want %s", bad, mon.RunID, runID)
+		}
+		runID = mon.RunID
+	}
 }
 
 // TestE2EMaxStatesClamp checks the server-side admission cap: a request

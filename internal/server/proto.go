@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -234,7 +233,6 @@ func (s *Server) parseRequest(req *Request) (*parsedRequest, error) {
 			}
 			bad = append(bad, p)
 		}
-		sort.Slice(bad, func(i, j int) bool { return bad[i] < bad[j] })
 	default:
 		return nil, badRequestf("bad check %q (want %q or %q)", check, CheckDeadlock, CheckSafety)
 	}

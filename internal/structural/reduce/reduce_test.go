@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/petri"
 	"repro/internal/randnet"
+	"repro/internal/reach"
 	"repro/internal/structural/reduce"
 	"repro/internal/verify"
 )
@@ -127,9 +128,8 @@ func TestReduceDeadlockSoundRandom(t *testing.T) {
 
 // TestReduceSafetySoundRandom checks the safety path: random bad pairs,
 // verdict equality for every engine, and mapped witnesses that really
-// exhibit the property — a reachable bad marking for the direct engines,
-// a trap-marked deadlock of the monitored original net for the engines
-// that reduce safety to deadlock.
+// exhibit the property — for every engine, a reachable marking of the
+// original net that marks every bad place.
 func TestReduceSafetySoundRandom(t *testing.T) {
 	seeds := int64(12)
 	if testing.Short() {
@@ -148,9 +148,13 @@ func TestReduceSafetySoundRandom(t *testing.T) {
 			if bad[0] == bad[1] {
 				continue
 			}
-			ground, err := verify.CheckSafety(net, bad, verify.Options{Engine: verify.Exhaustive})
+			ground, err := reach.Explore(net, reach.Options{Bad: func(m petri.Marking) bool { return m.HasAll(bad) }})
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
+			}
+			reachableBad := make(map[string]bool, len(ground.BadStates))
+			for _, m := range ground.BadStates {
+				reachableBad[m.Key()] = true
 			}
 			for _, eng := range allEngines {
 				opts := verify.Options{Engine: eng, MaxStates: soundMaxStates, MaxNodes: 1 << 21, Reduce: true}
@@ -158,33 +162,13 @@ func TestReduceSafetySoundRandom(t *testing.T) {
 				if err != nil || !red.Complete {
 					continue // capped: the family analysis can blow up here too
 				}
-				if ground.Deadlock != red.Deadlock {
+				if ground.BadFound != red.Deadlock {
 					t.Errorf("seed %d %s bad=%v: exhaustive verdict %v, reduced+mapped %v",
-						seed, eng, bad, ground.Deadlock, red.Deadlock)
+						seed, eng, bad, ground.BadFound, red.Deadlock)
 				}
-				if red.Witness == nil {
-					continue
-				}
-				switch eng {
-				case verify.Exhaustive, verify.Symbolic:
-					for _, p := range bad {
-						if !red.Witness.Has(p) {
-							t.Errorf("seed %d %s: mapped witness misses bad place %s",
-								seed, eng, net.PlaceName(p))
-						}
-					}
-				default:
-					mon, trap, err := petri.WithSafetyMonitor(net, bad)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !red.Witness.Has(trap) {
-						t.Errorf("seed %d %s: mapped monitored witness has no trap token", seed, eng)
-					}
-					if !mon.IsDeadlock(red.Witness) {
-						t.Errorf("seed %d %s: mapped monitored witness %s is not dead in mon(original)",
-							seed, eng, red.Witness.String(mon))
-					}
+				if red.Deadlock && !reachableBad[red.Witness.Key()] {
+					t.Errorf("seed %d %s bad=%v: mapped witness %v is not a reachable marking marking every bad place",
+						seed, eng, bad, red.Witness.Places())
 				}
 			}
 		}

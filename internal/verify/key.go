@@ -81,9 +81,10 @@ const RunKeyFormat = 2
 // where a deadline happened to land. Ckpt and Resume are excluded
 // because a resumed run computes exactly what the uninterrupted run
 // would have — the checkpoint is keyed by the same RunKey it resumes.
-// bad must be sorted by the caller (the server sorts during request
-// resolution).
+// bad is hashed in its canonical form (sorted, duplicates removed), the
+// form CheckSafety checks, so every listing of one bad set names one run.
 func RunKey(n *petri.Net, check string, bad []petri.Place, o Options) Key {
+	bad = canonicalBad(bad)
 	b := make([]byte, 0, 1024)
 	b = binary.AppendUvarint(b, RunKeyFormat)
 	b = AppendNetKey(b, n)

@@ -72,3 +72,47 @@ func TestChecksRejectInvalidOptions(t *testing.T) {
 		}
 	}
 }
+
+// TestSafetyBadSetIsASet checks that CheckSafety treats bad as a set on
+// every engine: an empty set, or one naming a place the net does not
+// have, is an *OptionError, and a permuted or duplicated listing gets
+// the verdict, witness and state count of the canonical (sorted,
+// duplicate-free) one.
+func TestSafetyBadSetIsASet(t *testing.T) {
+	net := models.NSDP(2)
+	hasL0, _ := net.PlaceByName("hasL0")
+	hasL1, _ := net.PlaceByName("hasL1")
+	canonical := []petri.Place{hasL0, hasL1}
+	listings := map[string][]petri.Place{
+		"permuted":   {hasL1, hasL0},
+		"duplicated": {hasL0, hasL1, hasL0, hasL1},
+	}
+	for _, eng := range allEngines {
+		t.Run(eng.String(), func(t *testing.T) {
+			var oe *OptionError
+			for _, invalid := range [][]petri.Place{nil, {}, {hasL0, petri.Place(net.NumPlaces())}, {-1}} {
+				if _, err := CheckSafety(net, invalid, Options{Engine: eng}); !errors.As(err, &oe) {
+					t.Errorf("bad=%v: got %v, want *OptionError", invalid, err)
+				}
+			}
+			want, err := CheckSafety(net, canonical, Options{Engine: eng})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !want.Deadlock {
+				t.Fatal("canonical bad set not reachable")
+			}
+			for name, bad := range listings {
+				got, err := CheckSafety(net, bad, Options{Engine: eng})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got.Deadlock != want.Deadlock || !got.Witness.Equal(want.Witness) || got.States != want.States {
+					t.Errorf("%s: reachable=%v witness=%s states=%d, canonical gives %v %s %d", name,
+						got.Deadlock, got.Witness.String(net), got.States,
+						want.Deadlock, want.Witness.String(net), want.States)
+				}
+			}
+		})
+	}
+}

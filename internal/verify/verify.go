@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/obs/trace"
 	"repro/internal/petri"
 	"repro/internal/reach"
+	"repro/internal/structural/reduce"
 	"repro/internal/stubborn"
 	"repro/internal/symbolic"
 	"repro/internal/unfold"
@@ -48,30 +50,29 @@ const (
 	Unfolding
 )
 
+// engineNames are the engines' short display names, indexed by Engine.
+var engineNames = [...]string{
+	Exhaustive:   "exhaustive",
+	PartialOrder: "partial-order",
+	Symbolic:     "symbolic",
+	GPO:          "gpo",
+	GPOExplicit:  "gpo-explicit",
+	Unfolding:    "unfolding",
+}
+
 // String returns the engine's short display name.
 func (e Engine) String() string {
-	switch e {
-	case Exhaustive:
-		return "exhaustive"
-	case PartialOrder:
-		return "partial-order"
-	case Symbolic:
-		return "symbolic"
-	case GPO:
-		return "gpo"
-	case GPOExplicit:
-		return "gpo-explicit"
-	case Unfolding:
-		return "unfolding"
+	if e < 0 || int(e) >= len(engineNames) {
+		return fmt.Sprintf("Engine(%d)", int(e))
 	}
-	return fmt.Sprintf("Engine(%d)", int(e))
+	return engineNames[e]
 }
 
 // ParseEngine maps a name (as printed by String) back to an Engine.
 func ParseEngine(s string) (Engine, error) {
-	for _, e := range []Engine{Exhaustive, PartialOrder, Symbolic, GPO, GPOExplicit, Unfolding} {
-		if e.String() == s {
-			return e, nil
+	for e, name := range engineNames {
+		if name == s {
+			return Engine(e), nil
 		}
 	}
 	return 0, fmt.Errorf("verify: unknown engine %q", s)
@@ -117,8 +118,8 @@ type Options struct {
 	// aborts; see OBSERVABILITY.md "Trace events"). Nil costs nothing.
 	Trace *trace.Tracer
 	// Explorer, if non-nil, replaces reach.Explore for the Exhaustive
-	// engine (other engines ignore it). bad lists the safety-check
-	// places, nil for deadlock checks; o carries the same options a
+	// engine (other engines ignore it). bad is the sorted, duplicate-free
+	// set of safety-check places, nil for deadlock checks; o carries the same options a
 	// reach.Explore call would get, including the equivalent Bad
 	// predicate. An Explorer must return Results bit-identical to
 	// reach.Explore — like Workers, it changes how the answer is
@@ -146,11 +147,15 @@ type Options struct {
 type Report struct {
 	Net      string
 	Engine   Engine
-	Deadlock bool          // or "bad state reachable" for safety checks
-	Witness  petri.Marking // one witness marking, nil if none or not tracked
-	States   int           // states explored (GPN states for GPO engines)
-	PeakBDD  int           // symbolic engine only: peak BDD nodes
-	PeakSets float64       // GPO engines only: largest |r|
+	Deadlock bool // or "bad state reachable" for safety checks
+	// Witness is one marking of the input net, nil if none or not
+	// tracked. A deadlock witness is a dead reachable marking; a safety
+	// witness is a reachable marking that marks every bad place. This
+	// holds for every engine, with or without Reduce.
+	Witness  petri.Marking
+	States   int     // states explored (GPN states for GPO engines)
+	PeakBDD  int     // symbolic engine only: peak BDD nodes
+	PeakSets float64 // GPO engines only: largest |r|
 	Elapsed  time.Duration
 	Complete bool
 	// Aborted marks a check stopped by Options.Ctx: the statistics are a
@@ -203,199 +208,123 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// aborted reports whether an engine error is a cooperative cancellation
-// (Options.Ctx fired) rather than an analysis failure.
-func aborted(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+// validate is the pre-flight step of the check path: Validate, the
+// checkpoint gate, and for a safety check (bad non-nil, canonical) a
+// non-empty set of places of n.
+func (o Options) validate(n *petri.Net, bad []petri.Place) error {
+	if err := o.Validate(); err != nil {
+		return err
+	}
+	if bad != nil && (len(bad) == 0 || bad[0] < 0 || int(bad[len(bad)-1]) >= n.NumPlaces()) {
+		return &OptionError{Field: "bad", Value: bad, Reason: "want a non-empty set of places of the net"}
+	}
+	return o.validateCkpt()
 }
 
+// canonicalBad returns bad sorted and without duplicates: a safety check
+// is about a set of places, so CheckSafety and RunKey both see this one
+// form whatever order the caller listed them in. The result is never nil.
+func canonicalBad(bad []petri.Place) []petri.Place {
+	out := append([]petri.Place{}, bad...)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// monitors reports whether the engine checks safety as deadlock on the
+// monitored net (Section 4 of the paper) rather than by a direct
+// predicate on markings.
+func (e Engine) monitors() bool { return e != Exhaustive && e != Symbolic }
+
 // CheckDeadlock analyses the net for reachable deadlocks.
-func CheckDeadlock(n *petri.Net, opts Options) (*Report, error) {
-	if err := opts.Validate(); err != nil {
+func CheckDeadlock(n *petri.Net, opts Options) (*Report, error) { return check(n, nil, opts) }
+
+// CheckSafety checks whether a marking with all places of bad
+// simultaneously marked is reachable. bad is a set: order and duplicates
+// do not matter, and an empty set or a place n does not have is an
+// *OptionError. The exhaustive and symbolic engines check the predicate
+// directly; the partial-order, unfolding and generalized engines reduce
+// the check to deadlock detection on a monitored net (Section 4 of the
+// paper: "the verification of a safety property can always be reduced to
+// a check for deadlock"). Either way the witness is a reachable marking
+// of n that marks every bad place.
+func CheckSafety(n *petri.Net, bad []petri.Place, opts Options) (*Report, error) {
+	return check(n, canonicalBad(bad), opts)
+}
+
+// check is the one path behind CheckDeadlock (bad nil) and CheckSafety
+// (bad canonical): validate, optionally reduce, monitor the safety
+// property if the engine needs it, explore, and map the witness back to
+// a marking of n.
+func check(n *petri.Net, bad []petri.Place, opts Options) (*Report, error) {
+	if err := opts.validate(n, bad); err != nil {
 		return nil, err
-	}
-	if err := opts.validateCkpt(); err != nil {
-		return nil, err
-	}
-	if opts.Reduce {
-		return checkDeadlockReduced(n, opts)
 	}
 	start := time.Now()
 	rep := &Report{Net: n.Name(), Engine: opts.Engine}
-	switch opts.Engine {
-	case Exhaustive:
-		ro := reach.Options{
-			Ctx:            opts.Ctx,
-			MaxStates:      opts.MaxStates,
-			Workers:        opts.Workers,
-			StopAtDeadlock: opts.StopAtFirst,
-			Metrics:        opts.Metrics,
-			Progress:       opts.Progress,
-			Trace:          opts.Trace,
-			Ckpt:           opts.Ckpt.reachHook(),
-			Resume:         opts.resumeReach(),
+	net, rbad := n, bad
+	var cert *reduce.Certificate
+	if opts.Reduce {
+		// Protecting the bad places keeps the property in the reduced net.
+		var err error
+		if cert, err = reduce.Run(n, reduce.Options{Protect: bad, Metrics: opts.Metrics}); err != nil {
+			return nil, err
 		}
-		explore := reach.Explore
-		if opts.Explorer != nil {
-			explore = func(n *petri.Net, o reach.Options) (*reach.Result, error) {
-				return opts.Explorer(n, nil, o)
+		if net = cert.Net(); bad != nil {
+			if rbad, err = cert.MapPlaces(bad); err != nil {
+				return nil, err
 			}
 		}
-		res, err := explore(n, ro)
-		if err != nil && !((aborted(err) || ckptStopped(err)) && res != nil) {
+		rep.PlacesRemoved, rep.TransRemoved = cert.PlacesRemoved(), cert.TransRemoved()
+	}
+	explored, trap := net, petri.Place(-1)
+	if bad != nil && opts.Engine.monitors() {
+		// The bad combination is reachable iff the monitor can fire, after
+		// which the run token is gone and the whole net deadlocks with the
+		// trap marked.
+		var err error
+		if explored, trap, err = petri.WithSafetyMonitor(net, rbad); err != nil {
 			return nil, err
 		}
-		rep.Checkpointed = ckptStopped(err)
-		rep.Aborted = err != nil && !rep.Checkpointed
-		rep.Deadlock = res.Deadlock
-		rep.States = res.States
-		rep.Complete = res.Complete
-		if len(res.Deadlocks) > 0 {
-			rep.Witness = res.Deadlocks[0]
-		}
-	case PartialOrder:
-		res, err := stubborn.Explore(n, stubborn.Options{
-			Ctx:            opts.Ctx,
-			MaxStates:      opts.MaxStates,
-			StopAtDeadlock: opts.StopAtFirst,
-			Proviso:        opts.Proviso,
-			Metrics:        opts.Metrics,
-			Progress:       opts.Progress,
-			Trace:          opts.Trace,
-		})
-		if err != nil && !(aborted(err) && res != nil) {
-			return nil, err
-		}
-		rep.Aborted = err != nil
-		rep.Deadlock = res.Deadlock
-		rep.States = res.States
-		rep.Complete = res.Complete
-		if len(res.Deadlocks) > 0 {
-			rep.Witness = res.Deadlocks[0]
-		}
-	case Symbolic:
-		res, err := symbolic.Analyze(n, symbolic.Options{
-			Ctx:      opts.Ctx,
-			MaxNodes: opts.MaxNodes,
-			Metrics:  opts.Metrics,
-			Progress: opts.Progress,
-			Trace:    opts.Trace,
-		})
-		if err != nil && !(aborted(err) && res != nil) {
-			return nil, err
-		}
-		rep.Aborted = err != nil
-		rep.Deadlock = res.Deadlock
-		rep.States = int(res.States)
-		rep.PeakBDD = res.PeakNodes
-		rep.Witness = res.Witness
-		rep.Complete = res.Complete
-	case GPO:
-		e, err := core.NewEngine[zdd.Node](n, zdd.NewAlgebra(n.NumTrans()))
-		if err != nil {
-			return nil, err
-		}
-		res, _, err := e.Analyze(core.Options{
-			Ctx:            opts.Ctx,
-			MaxStates:      opts.MaxStates,
-			StopAtDeadlock: opts.StopAtFirst,
-			Metrics:        opts.Metrics,
-			Progress:       opts.Progress,
-			Trace:          opts.Trace,
-			Ckpt:           opts.Ckpt.coreHook(),
-			Resume:         opts.resumeCore(),
-		})
-		if err != nil && !((aborted(err) || ckptStopped(err)) && res != nil) {
-			return nil, err
-		}
-		rep.Checkpointed = ckptStopped(err)
-		rep.Aborted = err != nil && !rep.Checkpointed
-		fillGPO(rep, res)
-	case GPOExplicit:
-		e, err := core.NewEngine[*family.Family](n, family.NewAlgebra(n.NumTrans()))
-		if err != nil {
-			return nil, err
-		}
-		res, _, err := e.Analyze(core.Options{
-			Ctx:            opts.Ctx,
-			MaxStates:      opts.MaxStates,
-			StopAtDeadlock: opts.StopAtFirst,
-			Metrics:        opts.Metrics,
-			Progress:       opts.Progress,
-			Trace:          opts.Trace,
-			Ckpt:           opts.Ckpt.coreHook(),
-			Resume:         opts.resumeCore(),
-		})
-		if err != nil && !((aborted(err) || ckptStopped(err)) && res != nil) {
-			return nil, err
-		}
-		rep.Checkpointed = ckptStopped(err)
-		rep.Aborted = err != nil && !rep.Checkpointed
-		fillGPO(rep, res)
-	case Unfolding:
-		px, err := unfold.Build(n, unfold.Options{
-			Ctx:       opts.Ctx,
-			MaxEvents: opts.MaxStates,
-			Metrics:   opts.Metrics,
-			Progress:  opts.Progress,
-			Trace:     opts.Trace,
-		})
-		if err != nil && !(aborted(err) && px != nil) {
-			return nil, err
-		}
-		rep.States = len(px.Events)
-		if err != nil {
-			// Deadlock checking on a truncated prefix would report phantom
-			// deadlocks (events whose successors were never inserted), so an
-			// aborted build carries only the size statistics.
-			rep.Aborted = true
-		} else {
-			rep.Complete = true
-			if w, dead := px.FindDeadlock(); dead {
-				rep.Deadlock = true
-				rep.Witness = w
-			}
-		}
+	}
+	if err := explore(explored, rbad, trap, opts, rep); err != nil {
+		return nil, err
+	}
+	if rep.Witness != nil && trap >= 0 {
+		rep.Witness = premonitor(net, rbad, rep.Witness)
+	}
+	if cert != nil {
+		rep.Witness = cert.ExpandMarking(rep.Witness)
 	}
 	rep.Elapsed = time.Since(start)
 	return rep, nil
 }
 
-func fillGPO(rep *Report, res *core.Result) {
-	rep.Deadlock = res.Deadlock
-	rep.States = res.States
-	rep.PeakSets = res.PeakValid
-	rep.Complete = res.Complete
-	if len(res.Witnesses) > 0 {
-		rep.Witness = res.Witnesses[0]
+// premonitor maps a trap-marked deadlock of the monitored net back to the
+// marking the monitor fired from: the places of net as they are, plus the
+// bad tokens the monitor consumed. That marking is reachable in net and
+// marks every bad place.
+func premonitor(net *petri.Net, bad []petri.Place, w petri.Marking) petri.Marking {
+	m := net.EmptyMarking()
+	for _, p := range w.Places() {
+		if int(p) < net.NumPlaces() {
+			m.Set(p)
+		}
 	}
+	for _, p := range bad {
+		m.Set(p)
+	}
+	return m
 }
 
-// CheckSafety checks whether a marking with all places of bad
-// simultaneously marked is reachable. For the explicit and symbolic
-// engines the predicate is checked directly; for the partial-order and
-// generalized engines the check is reduced to deadlock detection on a
-// monitored net (Section 4 of the paper: "the verification of a safety
-// property can always be reduced to a check for deadlock").
-func CheckSafety(n *petri.Net, bad []petri.Place, opts Options) (*Report, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if err := opts.validateCkpt(); err != nil {
-		return nil, err
-	}
-	if opts.Reduce {
-		return checkSafetyReduced(n, bad, opts)
-	}
-	start := time.Now()
-	rep := &Report{Net: n.Name(), Engine: opts.Engine}
-	predicate := func(m petri.Marking) bool {
-		for _, p := range bad {
-			if !m.Has(p) {
-				return false
-			}
-		}
-		return true
+// explore runs the selected engine on net and records its verdict and
+// statistics in rep. bad is the bad set of a safety check, nil for a
+// deadlock check; the direct engines test it on every marking. trap is
+// the monitor's trap place when net is the monitored net, -1 otherwise;
+// the monitoring engines then count only deadlocks that mark it.
+func explore(net *petri.Net, bad []petri.Place, trap petri.Place, opts Options, rep *Report) error {
+	var trapped func(petri.Marking) bool // nil: every deadlock counts
+	if trap >= 0 {
+		trapped = func(m petri.Marking) bool { return m.Has(trap) }
 	}
 	switch opts.Engine {
 	case Exhaustive:
@@ -403,34 +332,56 @@ func CheckSafety(n *petri.Net, bad []petri.Place, opts Options) (*Report, error)
 			Ctx:       opts.Ctx,
 			MaxStates: opts.MaxStates,
 			Workers:   opts.Workers,
-			Bad:       predicate,
-			StopAtBad: opts.StopAtFirst,
 			Metrics:   opts.Metrics,
 			Progress:  opts.Progress,
 			Trace:     opts.Trace,
 			Ckpt:      opts.Ckpt.reachHook(),
 			Resume:    opts.resumeReach(),
 		}
-		explore := reach.Explore
+		if bad != nil {
+			ro.Bad = func(m petri.Marking) bool { return m.HasAll(bad) }
+			ro.StopAtBad = opts.StopAtFirst
+		} else {
+			ro.StopAtDeadlock = opts.StopAtFirst
+		}
+		run := reach.Explore
 		if opts.Explorer != nil {
-			explore = func(n *petri.Net, o reach.Options) (*reach.Result, error) {
+			run = func(n *petri.Net, o reach.Options) (*reach.Result, error) {
 				return opts.Explorer(n, bad, o)
 			}
 		}
-		res, err := explore(n, ro)
-		if err != nil && !((aborted(err) || ckptStopped(err)) && res != nil) {
-			return nil, err
+		res, err := run(net, ro)
+		if err := settle(rep, err, res != nil); err != nil {
+			return err
 		}
-		rep.Checkpointed = ckptStopped(err)
-		rep.Aborted = err != nil && !rep.Checkpointed
-		rep.Deadlock = res.BadFound
-		rep.States = res.States
-		rep.Complete = res.Complete
-		if len(res.BadStates) > 0 {
-			rep.Witness = res.BadStates[0]
+		rep.States, rep.Complete = res.States, res.Complete
+		found, ws := res.Deadlock, res.Deadlocks
+		if bad != nil {
+			found, ws = res.BadFound, res.BadStates
+		}
+		rep.Deadlock, rep.Witness = found, first(ws)
+	case PartialOrder:
+		res, err := stubborn.Explore(net, stubborn.Options{
+			Ctx:            opts.Ctx,
+			MaxStates:      opts.MaxStates,
+			StopAtDeadlock: opts.StopAtFirst && trapped == nil, // a trap-less deadlock must not stop the search
+			Proviso:        opts.Proviso,
+			Metrics:        opts.Metrics,
+			Progress:       opts.Progress,
+			Trace:          opts.Trace,
+		})
+		if err := settle(rep, err, res != nil); err != nil {
+			return err
+		}
+		rep.States, rep.Complete = res.States, res.Complete
+		for _, m := range res.Deadlocks {
+			if trapped == nil || trapped(m) {
+				rep.Deadlock, rep.Witness = true, m
+				break
+			}
 		}
 	case Symbolic:
-		res, err := symbolic.Analyze(n, symbolic.Options{
+		res, err := symbolic.Analyze(net, symbolic.Options{
 			Ctx:      opts.Ctx,
 			MaxNodes: opts.MaxNodes,
 			Bad:      bad,
@@ -438,115 +389,91 @@ func CheckSafety(n *petri.Net, bad []petri.Place, opts Options) (*Report, error)
 			Progress: opts.Progress,
 			Trace:    opts.Trace,
 		})
-		if err != nil && !(aborted(err) && res != nil) {
-			return nil, err
+		if err := settle(rep, err, res != nil); err != nil {
+			return err
 		}
-		rep.Aborted = err != nil
-		rep.Deadlock = res.BadFound
-		rep.Witness = res.BadWitness
-		rep.States = int(res.States)
-		rep.PeakBDD = res.PeakNodes
-		rep.Complete = res.Complete
-	case PartialOrder:
-		// Reduction to deadlock on the monitored net: the bad combination
-		// is reachable iff the monitor can fire, after which the run token
-		// is gone and the whole net deadlocks with the trap marked.
-		mon, trap, err := petri.WithSafetyMonitor(n, bad)
-		if err != nil {
-			return nil, err
+		rep.States, rep.PeakBDD, rep.Complete = int(res.States), res.PeakNodes, res.Complete
+		rep.Deadlock, rep.Witness = res.Deadlock, res.Witness
+		if bad != nil {
+			rep.Deadlock, rep.Witness = res.BadFound, res.BadWitness
 		}
-		res, err := stubborn.Explore(mon, stubborn.Options{
-			Ctx:       opts.Ctx,
-			MaxStates: opts.MaxStates,
-			Proviso:   opts.Proviso,
-			Metrics:   opts.Metrics,
-			Progress:  opts.Progress,
-			Trace:     opts.Trace,
-		})
-		if err != nil && !(aborted(err) && res != nil) {
-			return nil, err
-		}
-		rep.Aborted = err != nil
-		rep.States = res.States
-		rep.Complete = res.Complete
-		for _, m := range res.Deadlocks {
-			if m.Has(trap) {
-				rep.Deadlock = true
-				rep.Witness = m
-				break
-			}
-		}
+	case GPO:
+		return exploreGPO[zdd.Node](net, zdd.NewAlgebra(net.NumTrans()), trap, opts, rep)
+	case GPOExplicit:
+		return exploreGPO[*family.Family](net, family.NewAlgebra(net.NumTrans()), trap, opts, rep)
 	case Unfolding:
-		mon, trap, err := petri.WithSafetyMonitor(n, bad)
-		if err != nil {
-			return nil, err
-		}
-		px, err := unfold.Build(mon, unfold.Options{
+		px, err := unfold.Build(net, unfold.Options{
 			Ctx:       opts.Ctx,
 			MaxEvents: opts.MaxStates,
 			Metrics:   opts.Metrics,
 			Progress:  opts.Progress,
 			Trace:     opts.Trace,
 		})
-		if err != nil && !(aborted(err) && px != nil) {
-			return nil, err
+		if err := settle(rep, err, px != nil); err != nil {
+			return err
 		}
 		rep.States = len(px.Events)
-		if err != nil {
-			rep.Aborted = true
-		} else {
+		// Deadlock checking on a truncated prefix would report phantom
+		// deadlocks (events whose successors were never inserted), so an
+		// aborted build carries only the size statistics.
+		if !rep.Aborted {
 			rep.Complete = true
-			if w, dead := px.FindDeadlockWhere(func(m petri.Marking) bool {
-				return m.Has(trap)
-			}); dead {
-				rep.Deadlock = true
-				rep.Witness = w
-			}
+			rep.Witness, rep.Deadlock = px.FindDeadlockWhere(trapped)
 		}
-	case GPO, GPOExplicit:
-		mon, trap, err := petri.WithSafetyMonitor(n, bad)
-		if err != nil {
-			return nil, err
-		}
-		copts := core.Options{
-			Ctx:            opts.Ctx,
-			MaxStates:      opts.MaxStates,
-			StopAtDeadlock: opts.StopAtFirst,
-			ExpandDead:     true, // original deadlocks must not cut exploration
-			TrapFilter:     true,
-			TrapPlace:      trap,
-			Metrics:        opts.Metrics,
-			Progress:       opts.Progress,
-			Trace:          opts.Trace,
-			Ckpt:           opts.Ckpt.coreHook(),
-			Resume:         opts.resumeCore(),
-		}
-		var res *core.Result
-		if opts.Engine == GPO {
-			e, err := core.NewEngine[zdd.Node](mon, zdd.NewAlgebra(mon.NumTrans()))
-			if err != nil {
-				return nil, err
-			}
-			res, _, err = e.Analyze(copts)
-			if err != nil && !((aborted(err) || ckptStopped(err)) && res != nil) {
-				return nil, err
-			}
-			rep.Checkpointed = ckptStopped(err)
-			rep.Aborted = err != nil && !rep.Checkpointed
-		} else {
-			e, err := core.NewEngine[*family.Family](mon, family.NewAlgebra(mon.NumTrans()))
-			if err != nil {
-				return nil, err
-			}
-			res, _, err = e.Analyze(copts)
-			if err != nil && !((aborted(err) || ckptStopped(err)) && res != nil) {
-				return nil, err
-			}
-			rep.Checkpointed = ckptStopped(err)
-			rep.Aborted = err != nil && !rep.Checkpointed
-		}
-		fillGPO(rep, res)
 	}
-	rep.Elapsed = time.Since(start)
-	return rep, nil
+	return nil
+}
+
+// exploreGPO runs the generalized partial-order engine over either family
+// representation.
+func exploreGPO[F any](net *petri.Net, alg core.Algebra[F], trap petri.Place, opts Options, rep *Report) error {
+	e, err := core.NewEngine(net, alg)
+	if err != nil {
+		return err
+	}
+	co := core.Options{
+		Ctx:            opts.Ctx,
+		MaxStates:      opts.MaxStates,
+		StopAtDeadlock: opts.StopAtFirst,
+		Metrics:        opts.Metrics,
+		Progress:       opts.Progress,
+		Trace:          opts.Trace,
+		Ckpt:           opts.Ckpt.coreHook(),
+		Resume:         opts.resumeCore(),
+	}
+	if trap >= 0 {
+		co.ExpandDead = true // original deadlocks must not cut exploration
+		co.TrapFilter, co.TrapPlace = true, trap
+	}
+	res, _, err := e.Analyze(co)
+	if err := settle(rep, err, res != nil); err != nil {
+		return err
+	}
+	rep.Deadlock, rep.States, rep.PeakSets, rep.Complete = res.Deadlock, res.States, res.PeakValid, res.Complete
+	rep.Witness = first(res.Witnesses)
+	return nil
+}
+
+// settle classifies an engine error. A cooperative abort (Options.Ctx)
+// or a checkpoint suspension (Options.Ckpt) that left a partial result
+// marks the report and is absorbed; anything else fails the check.
+func settle(rep *Report, err error, partial bool) error {
+	switch {
+	case err == nil:
+	case partial && ckptStopped(err):
+		rep.Checkpointed = true
+	case partial && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
+		rep.Aborted = true
+	default:
+		return err
+	}
+	return nil
+}
+
+// first returns the first marking of ms, nil if there is none.
+func first(ms []petri.Marking) petri.Marking {
+	if len(ms) == 0 {
+		return nil
+	}
+	return ms[0]
 }

@@ -146,7 +146,9 @@ func TestSafetyAgreement(t *testing.T) {
 }
 
 // TestSafetyOnRandomNets cross-validates CheckSafety on random nets and
-// random bad pairs against the exhaustive predicate check.
+// random bad pairs against the exhaustive predicate check, and holds
+// every engine's witness to the contract: a reachable marking of the
+// input net that marks every bad place.
 func TestSafetyOnRandomNets(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		cfg := randnet.Default(seed)
@@ -162,7 +164,8 @@ func TestSafetyOnRandomNets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, eng := range allEngines[1:] {
+		reachableBad := reachableBadSet(t, net, bad)
+		for _, eng := range allEngines {
 			got, err := CheckSafety(net, bad, Options{Engine: eng})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", net.Name(), eng, err)
@@ -171,7 +174,47 @@ func TestSafetyOnRandomNets(t *testing.T) {
 				t.Errorf("seed %d: engine %v says reachable=%v, exhaustive says %v",
 					seed, eng, got.Deadlock, want.Deadlock)
 			}
+			if got.Deadlock {
+				checkSafetyWitness(t, fmt.Sprintf("seed %d %v", seed, eng), net, reachableBad, bad, got.Witness)
+			}
 		}
+	}
+}
+
+// reachableBadSet returns the keys of every reachable marking of net
+// that marks all places of bad.
+func reachableBadSet(t *testing.T, net *petri.Net, bad []petri.Place) map[string]bool {
+	t.Helper()
+	full, err := reach.Explore(net, reach.Options{Bad: func(m petri.Marking) bool { return m.HasAll(bad) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := make(map[string]bool, len(full.BadStates))
+	for _, m := range full.BadStates {
+		set[m.Key()] = true
+	}
+	return set
+}
+
+// checkSafetyWitness asserts the safety witness contract: w has only
+// places of net, marks every bad place, and is reachable (one of
+// reachableBad).
+func checkSafetyWitness(t *testing.T, what string, net *petri.Net, reachableBad map[string]bool, bad []petri.Place, w petri.Marking) {
+	t.Helper()
+	if w == nil {
+		t.Errorf("%s: reachable verdict without a witness", what)
+		return
+	}
+	for _, p := range w.Places() {
+		if int(p) >= net.NumPlaces() {
+			t.Errorf("%s: witness place index %d out of range [0,%d)", what, p, net.NumPlaces())
+			return
+		}
+	}
+	if !w.HasAll(bad) {
+		t.Errorf("%s: witness %s does not mark every bad place", what, w.String(net))
+	} else if !reachableBad[w.Key()] {
+		t.Errorf("%s: witness %s is not reachable", what, w.String(net))
 	}
 }
 

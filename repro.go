@@ -87,7 +87,10 @@ func CheckDeadlock(n *Net, opts Options) (*Report, error) {
 }
 
 // CheckSafety checks whether a marking with all the given places
-// simultaneously marked is reachable.
+// simultaneously marked is reachable. The places are a set (order and
+// duplicates do not matter; an empty set is an error). For every engine,
+// with or without Reduce, the report's witness is a reachable marking of
+// n that marks every one of them.
 func CheckSafety(n *Net, bad []Place, opts Options) (*Report, error) {
 	return verify.CheckSafety(n, bad, opts)
 }

@@ -67,6 +67,14 @@ for spec in 'nsdp 6' 'rw 9'; do
 	red_verdict=$(awk '$1 == "gpo" { print $2 }' "$TRACE_TMP/red.txt")
 	test -n "$base_verdict" && test "$base_verdict" = "$red_verdict"
 done
+# Safety smoke: all five -compare engines, with and without the
+# reduction pre-pass, must find the reachable NSDP(2) bad set
+# {hasL0,hasL1} and print a witness in the input net's places (a
+# monitored-net witness would crash the printer).
+for reduce in '' -reduce; do
+	go run ./cmd/gpoverify -model nsdp -size 2 -compare -safety hasL0,hasL1 $reduce >"$TRACE_TMP/safety.txt"
+	test "$(awk '$2 == "REACHABLE"' "$TRACE_TMP/safety.txt" | wc -l)" = 5
+done
 # Service smoke: boot gpod on a random port, push one verification over
 # the wire with the client package, drain, shut down. With -ledger the
 # smoke also walks the /v1/runs surface (history listing, by-id lookup,
@@ -97,8 +105,11 @@ go run ./cmd/gpod -jobs-smoke
 # Replay smoke: suspend a run at a checkpoint, then re-execute the
 # prefix deterministically — bit-identical snapshot, same event stream,
 # and event counts matching the suspended run's own flight recorder.
+# The suspend output goes to a file: piped into grep -q, gpoverify could
+# die of SIGPIPE before writing its trace.
 go run ./cmd/gpoverify -model nsdp -size 6 -engine exhaustive \
 	-ckpt "$TRACE_TMP/nsdp6.ckpt" -ckpt-states 500 \
-	-trace "$TRACE_TMP/suspend.trace.jsonl" | grep -q 'suspended'
+	-trace "$TRACE_TMP/suspend.trace.jsonl" >"$TRACE_TMP/suspend.txt"
+grep -q 'suspended' "$TRACE_TMP/suspend.txt"
 go run ./cmd/gpoverify -replay "$TRACE_TMP/nsdp6.ckpt" \
 	-trace-ref "$TRACE_TMP/suspend.trace.jsonl" | grep -q 'replay: OK'
